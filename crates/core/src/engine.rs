@@ -44,7 +44,10 @@ use x10rt::World;
 
 use crate::cache::{CachedSeq, KvCache};
 use crate::cachefs::CachingFs;
-use crate::shuffle::{decode_stream, CombineTable, MapOutputBuffer, ShuffleStream};
+use crate::shuffle::{
+    decode_stream, CombineTable, GroupingOutputBuffer, MapOutput, MapOutputBuffer, MapSink,
+    ShuffleStream,
+};
 use crate::stability::PlaceMap;
 
 /// The M3R counter group for engine-specific statistics.
@@ -102,7 +105,9 @@ pub struct M3ROptions {
     /// outputs, counters and simulated seconds are bit-identical with the
     /// flag off (the `Charge::Sort` bill is per record either way). Jobs
     /// with custom comparators always take the sort path; a per-job
-    /// `m3r.reduce.hash.group` conf knob can also force it off.
+    /// `m3r.reduce.hash.group` conf knob can also force it off. The same
+    /// gate selects grouping a combiner's input at map emit time
+    /// ([`crate::shuffle::GroupingOutputBuffer`]), equally wall-clock only.
     pub hash_group_ingest: bool,
     /// Arena-per-wave allocation (ISSUE 8): reduce/combine scratch (pair
     /// vectors, raw-key buffers, permutations) is leased from a per-place
@@ -365,9 +370,9 @@ impl M3REngine {
     }
 }
 
-/// Resolve the sort/group tuning for one job: process defaults and env
-/// overrides, then per-job conf knobs, then the engine's own
-/// `hash_group_ingest` option as a final gate.
+/// Resolve the sort/group tuning for one job: defaults, then per-job conf
+/// knobs, then the engine's own `hash_group_ingest` option as a final
+/// gate.
 fn sort_tuning(conf: &JobConf, opts: &M3ROptions) -> SortTuning {
     let mut t = SortTuning::for_job(conf);
     t.hash_group &= opts.hash_group_ingest;
@@ -1418,59 +1423,90 @@ fn run_map_task<J: JobDef>(
 
     // ---- run the mapper ---------------------------------------------------
     let num_parts = num_reducers.max(1);
+    // Map-only jobs never combine: Hadoop writes their output before its
+    // sort buffer (and so its combiner) is ever involved.
+    let mut combiner = if num_reducers > 0 {
+        job.create_combiner(conf)
+    } else {
+        None
+    };
+    let sort_cmp = job.sort_comparator();
+    let group_cmp = job.grouping_comparator();
+    // A combine input that hash-grouped ingest would group is grouped at
+    // emit time instead, so duplicate keys never pile up in the buffer.
+    let group_at_emit = combiner.is_some()
+        && tuning.hash_group
+        && sort_cmp.is_natural()
+        && group_cmp.is_natural();
     // The input sequence is already materialized, so its length pre-sizes
     // the partition buckets (uniform spread assumption).
-    let mut buffer = MapOutputBuffer::with_capacity_hint(
+    let buffer = MapOutputBuffer::with_capacity_hint(
         num_parts,
         job.partitioner(conf),
         job.immutable_output(),
-        pairs.pairs.len(),
+        if group_at_emit { 0 } else { pairs.pairs.len() },
     );
+    let mut sink = if group_at_emit {
+        MapSink::Grouped(GroupingOutputBuffer::new(buffer))
+    } else {
+        MapSink::Flat(buffer)
+    };
     let mut mapper = job.create_mapper(conf);
     let compute_start = Instant::now();
+    let out = sink.collector();
     mapper.setup(&mut ctx)?;
     for (k, v) in &pairs.pairs {
-        mapper.map(Arc::clone(k), Arc::clone(v), &mut buffer, &mut ctx)?;
+        mapper.map(Arc::clone(k), Arc::clone(v), out, &mut ctx)?;
     }
-    mapper.cleanup(&mut buffer, &mut ctx)?;
+    mapper.cleanup(out, &mut ctx)?;
     simgrid::meter::charge(Charge::Compute {
         seconds: compute_start.elapsed().as_secs_f64(),
     });
     ctx.incr_task_counter(task_counter::MAP_INPUT_RECORDS, pairs.pairs.len() as i64);
-    ctx.incr_task_counter(task_counter::MAP_OUTPUT_RECORDS, buffer.emitted() as i64);
-    let mut parts = buffer.parts;
+    ctx.incr_task_counter(task_counter::MAP_OUTPUT_RECORDS, sink.emitted() as i64);
 
     // ---- optional combiner --------------------------------------------------
-    if let Some(mut combiner) = job.create_combiner(conf) {
-        let sort_cmp = job.sort_comparator();
-        let group_cmp = job.grouping_comparator();
-        for bucket in parts.iter_mut() {
-            if bucket.len() < 2 {
-                continue;
+    // Both representations feed the combiner the same groups in the same
+    // order and bill the same sort, so which one ran is wall-clock only.
+    let parts = match (sink.finish(), combiner.as_mut()) {
+        (MapOutput::Flat(parts), None) => parts,
+        (MapOutput::Flat(mut parts), Some(combiner)) => {
+            for bucket in parts.iter_mut() {
+                if bucket.len() < 2 {
+                    continue;
+                }
+                simgrid::meter::charge(Charge::Sort {
+                    records: bucket.len() as u64,
+                });
+                let mut sorted = std::mem::take(bucket);
+                let spans =
+                    ingest_reduce_groups(&mut sorted, &sort_cmp, &group_cmp, tuning, arena);
+                ctx.incr_task_counter(task_counter::COMBINE_INPUT_RECORDS, sorted.len() as i64);
+                let groups = spans.into_iter().map(|span| {
+                    let key = Arc::clone(&sorted[span.start].0);
+                    (key, sorted[span].iter().map(|(_, v)| Arc::clone(v)))
+                });
+                *bucket = combine_groups(combiner.as_mut(), groups, &mut ctx)?;
+                if let Some(a) = arena {
+                    a.recycle(sorted);
+                }
             }
-            simgrid::meter::charge(Charge::Sort {
-                records: bucket.len() as u64,
-            });
-            let mut sorted = std::mem::take(bucket);
-            let spans = ingest_reduce_groups(&mut sorted, &sort_cmp, &group_cmp, tuning, arena);
-            ctx.incr_task_counter(task_counter::COMBINE_INPUT_RECORDS, sorted.len() as i64);
-            let mut out: hmr_api::collect::VecCollector<J::K2, J::V2> =
-                hmr_api::collect::VecCollector::new();
-            for span in spans {
-                let key = Arc::clone(&sorted[span.start].0);
-                let mut values = sorted[span.clone()].iter().map(|(_, v)| Arc::clone(v));
-                combiner.reduce(key, &mut values, &mut out, &mut ctx)?;
-            }
-            ctx.incr_task_counter(
-                task_counter::COMBINE_OUTPUT_RECORDS,
-                out.pairs.len() as i64,
-            );
-            *bucket = out.pairs;
-            if let Some(a) = arena {
-                a.recycle(sorted);
-            }
+            parts
         }
-    }
+        (MapOutput::Grouped(groups), Some(combiner)) => groups
+            .into_iter()
+            .map(|g| {
+                let n = g.records();
+                if n < 2 {
+                    return Ok(g.into_pairs());
+                }
+                simgrid::meter::charge(Charge::Sort { records: n as u64 });
+                ctx.incr_task_counter(task_counter::COMBINE_INPUT_RECORDS, n as i64);
+                combine_groups(combiner.as_mut(), g.drain_sorted(tuning, arena), &mut ctx)
+            })
+            .collect::<Result<_>>()?,
+        (MapOutput::Grouped(_), None) => unreachable!("grouping requires a combiner"),
+    };
 
     // ---- map-only: straight to output (§5.3) --------------------------------
     if let Some(convert) = convert {
@@ -1510,6 +1546,24 @@ fn run_map_task<J: JobDef>(
     ctx.incr_task_counter(task_counter::REMOTE_SHUFFLED_RECORDS, remote_n);
     shared.counters.lock().merge(&ctx.into_counters());
     Ok(routed)
+}
+
+/// Run `combiner` over one partition's key groups, given in reduce-input
+/// order, and return its output.
+fn combine_groups<K, V, I>(
+    combiner: &mut dyn hmr_api::task::TaskReducer<K, V, K, V>,
+    groups: impl Iterator<Item = (Arc<K>, I)>,
+    ctx: &mut TaskContext,
+) -> Result<Vec<(Arc<K>, Arc<V>)>>
+where
+    I: IntoIterator<Item = Arc<V>>,
+{
+    let mut out = hmr_api::collect::VecCollector::new();
+    for (key, values) in groups {
+        combiner.reduce(key, &mut values.into_iter(), &mut out, ctx)?;
+    }
+    ctx.incr_task_counter(task_counter::COMBINE_OUTPUT_RECORDS, out.pairs.len() as i64);
+    Ok(out.pairs)
 }
 
 /// Everything one place does during the reduce phase.

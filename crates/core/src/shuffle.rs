@@ -16,9 +16,11 @@ use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
 use hmr_api::collect::OutputCollector;
+use hmr_api::comparator::{apply_permutation, fnv1a, sort_distinct_raw_keys, SortTuning};
 use hmr_api::error::{HmrError, Result};
 use hmr_api::partition::Partitioner;
 use hmr_api::writable::{ByteReader, Writable};
+use simgrid::arena::Arena;
 use simgrid::cost::Charge;
 use simgrid::meter;
 use x10rt::serialize::{DedupMode, Deserializer, SerError, Serializer};
@@ -74,6 +76,38 @@ where
     pub fn emitted(&self) -> u64 {
         self.emitted
     }
+
+    fn partition_of(&self, key: &K, value: &V) -> Result<usize> {
+        let p = self.partitioner.partition(key, value, self.num_partitions);
+        if p >= self.num_partitions {
+            return Err(HmrError::InvalidJob(format!(
+                "partitioner returned {p} for {} partitions",
+                self.num_partitions
+            )));
+        }
+        Ok(p)
+    }
+
+    fn push(&mut self, p: usize, key: Arc<K>, value: Arc<V>) {
+        let (key, value) = if self.immutable {
+            // §4.1: the job promised not to mutate emitted values; alias.
+            (key, value)
+        } else {
+            // §3.2.2.1: "this forces M3R to conservatively make a copy of
+            // every key/value pair."
+            charge_pair_clone(&*key, &*value);
+            (Arc::new((*key).clone()), Arc::new((*value).clone()))
+        };
+        self.parts[p].push((key, value));
+        self.emitted += 1;
+    }
+}
+
+/// Bill the defensive copy of one emitted pair (§3.2.2.1).
+fn charge_pair_clone<K: Writable, V: Writable>(key: &K, value: &V) {
+    let bytes = (key.serialized_size() + value.serialized_size()) as u64;
+    meter::charge(Charge::Clone { bytes });
+    meter::charge(Charge::Alloc { objects: 2 });
 }
 
 impl<K, V> OutputCollector<K, V> for MapOutputBuffer<K, V>
@@ -82,29 +116,242 @@ where
     V: Writable + Clone,
 {
     fn collect(&mut self, key: Arc<K>, value: Arc<V>) -> Result<()> {
-        let p = self
-            .partitioner
-            .partition(&key, &value, self.num_partitions);
-        if p >= self.num_partitions {
-            return Err(HmrError::InvalidJob(format!(
-                "partitioner returned {p} for {} partitions",
-                self.num_partitions
-            )));
-        }
-        let (key, value) = if self.immutable {
-            // §4.1: the job promised not to mutate emitted values; alias.
-            (key, value)
-        } else {
-            // §3.2.2.1: "this forces M3R to conservatively make a copy of
-            // every key/value pair."
-            let bytes = (key.serialized_size() + value.serialized_size()) as u64;
-            meter::charge(Charge::Clone { bytes });
-            meter::charge(Charge::Alloc { objects: 2 });
-            (Arc::new((*key).clone()), Arc::new((*value).clone()))
-        };
-        self.parts[p].push((key, value));
-        self.emitted += 1;
+        let p = self.partition_of(&key, &value)?;
+        self.push(p, key, value);
         Ok(())
+    }
+}
+
+/// One partition's map output grouped by key as it is emitted: each
+/// distinct key (compared by raw sort form) keeps the first emitted key
+/// `Arc` and its values in arrival order, so a duplicate key is dropped
+/// right after lookup instead of being buffered until the combiner runs.
+pub struct KeyGroups<K, V> {
+    /// Raw sort forms of every group's key, back to back.
+    raw: Vec<u8>,
+    /// Group -> its key's span of `raw`.
+    spans: Vec<(usize, usize)>,
+    /// Group -> (first emitted key, values in arrival order).
+    groups: Vec<(Arc<K>, Vec<Arc<V>>)>,
+    /// Open-addressing index over `groups` (linear probing, FNV-1a of the
+    /// raw key): a slot holds `group + 1`, 0 is empty.
+    table: Vec<u32>,
+    records: usize,
+}
+
+impl<K, V> KeyGroups<K, V> {
+    fn new() -> Self {
+        KeyGroups {
+            raw: Vec::new(),
+            spans: Vec::new(),
+            groups: Vec::new(),
+            table: Vec::new(),
+            records: 0,
+        }
+    }
+
+    /// Records added.
+    pub fn records(&self) -> usize {
+        self.records
+    }
+
+    /// Add `value` to the group of `raw_key`, creating the group with
+    /// `key()` when the raw key is new.
+    fn insert(&mut self, raw_key: &[u8], key: impl FnOnce() -> Arc<K>, value: Arc<V>) {
+        if self.groups.len() * 2 >= self.table.len() {
+            self.grow();
+        }
+        self.records += 1;
+        let mask = self.table.len() - 1;
+        let mut slot = fnv1a(raw_key) as usize & mask;
+        loop {
+            match self.table[slot] {
+                0 => break,
+                g => {
+                    let g = g as usize - 1;
+                    let (s, e) = self.spans[g];
+                    if &self.raw[s..e] == raw_key {
+                        self.groups[g].1.push(value);
+                        return;
+                    }
+                }
+            }
+            slot = (slot + 1) & mask;
+        }
+        let start = self.raw.len();
+        self.raw.extend_from_slice(raw_key);
+        self.spans.push((start, self.raw.len()));
+        self.groups.push((key(), vec![value]));
+        self.table[slot] = self.groups.len() as u32;
+    }
+
+    /// Double the index (64 slots at first) and re-insert every group.
+    fn grow(&mut self) {
+        let cap = (self.table.len() * 2).max(64);
+        self.table.clear();
+        self.table.resize(cap, 0);
+        for (g, &(s, e)) in self.spans.iter().enumerate() {
+            let mut slot = fnv1a(&self.raw[s..e]) as usize & (cap - 1);
+            while self.table[slot] != 0 {
+                slot = (slot + 1) & (cap - 1);
+            }
+            self.table[slot] = g as u32 + 1;
+        }
+    }
+
+    /// Every record as a pair carrying its group's key: groups in creation
+    /// order, values in arrival order.
+    pub fn into_pairs(self) -> Vec<(Arc<K>, Arc<V>)> {
+        let mut pairs = Vec::with_capacity(self.records);
+        for (key, values) in self.groups {
+            pairs.extend(values.into_iter().map(|v| (Arc::clone(&key), v)));
+        }
+        pairs
+    }
+
+    /// The groups in ascending raw-key order. For a natural-order job that
+    /// is exactly the group order a stable sort of the emitted pairs
+    /// followed by grouping yields, with each group's values in the same
+    /// (arrival) order — see [`hmr_api::comparator::hash_group_pairs`].
+    pub fn drain_sorted(
+        mut self,
+        tuning: &SortTuning,
+        arena: Option<&Arena>,
+    ) -> std::vec::IntoIter<(Arc<K>, Vec<Arc<V>>)> {
+        let order = sort_distinct_raw_keys(
+            self.groups.len(),
+            |g| {
+                let (s, e) = self.spans[g as usize];
+                &self.raw[s..e]
+            },
+            tuning,
+            arena,
+        );
+        let perm: Vec<u32> = order.iter().map(|&(_, g)| g).collect();
+        if let Some(a) = arena {
+            a.recycle(order);
+        }
+        apply_permutation(&mut self.groups, &perm);
+        self.groups.into_iter()
+    }
+}
+
+/// Map-task-side collector for jobs whose combiner input would go through
+/// hash-grouped ingest (natural sort and grouping order, hash grouping
+/// on): pairs are grouped per partition as they are emitted
+/// ([`KeyGroups`]) instead of being buffered and grouped at task end. The
+/// cloning contract and its charges are [`MapOutputBuffer`]'s, billed per
+/// pair; only the key of a new group is actually copied. A key with no raw
+/// sort form flattens the groups into plain buffering for the rest of the
+/// task.
+pub struct GroupingOutputBuffer<K, V> {
+    base: MapOutputBuffer<K, V>,
+    /// Per-partition groups; `None` once the task fell back to `base`.
+    groups: Option<Vec<KeyGroups<K, V>>>,
+    raw_key: Vec<u8>,
+}
+
+impl<K, V> GroupingOutputBuffer<K, V>
+where
+    K: Writable + Clone,
+    V: Writable + Clone,
+{
+    /// Group into `base`'s partitions, with its partitioner and cloning
+    /// contract.
+    pub fn new(base: MapOutputBuffer<K, V>) -> Self {
+        let groups = (0..base.num_partitions).map(|_| KeyGroups::new()).collect();
+        GroupingOutputBuffer {
+            base,
+            groups: Some(groups),
+            raw_key: Vec::new(),
+        }
+    }
+}
+
+impl<K, V> OutputCollector<K, V> for GroupingOutputBuffer<K, V>
+where
+    K: Writable + Clone,
+    V: Writable + Clone,
+{
+    fn collect(&mut self, key: Arc<K>, value: Arc<V>) -> Result<()> {
+        let p = self.base.partition_of(&key, &value)?;
+        let Some(groups) = self.groups.as_mut() else {
+            self.base.push(p, key, value);
+            return Ok(());
+        };
+        self.raw_key.clear();
+        if !key.write_raw_sort_key(&mut self.raw_key) {
+            // Flattening keeps each key's records in arrival order, which
+            // is all the stable sort downstream needs.
+            for (bucket, g) in self.base.parts.iter_mut().zip(groups.drain(..)) {
+                bucket.extend(g.into_pairs());
+            }
+            self.groups = None;
+            self.base.push(p, key, value);
+            return Ok(());
+        }
+        let immutable = self.base.immutable;
+        let value = if immutable {
+            value
+        } else {
+            charge_pair_clone(&*key, &*value);
+            Arc::new((*value).clone())
+        };
+        let key = || if immutable { key } else { Arc::new((*key).clone()) };
+        groups[p].insert(&self.raw_key, key, value);
+        self.base.emitted += 1;
+        Ok(())
+    }
+}
+
+/// What a map task collected, per partition.
+pub enum MapOutput<K, V> {
+    /// Pairs in emission order.
+    Flat(Vec<Vec<(Arc<K>, Arc<V>)>>),
+    /// Pairs grouped by key at emit time.
+    Grouped(Vec<KeyGroups<K, V>>),
+}
+
+/// A map task's collector, its representation chosen once per task so the
+/// plain path pays nothing for the grouped one.
+pub enum MapSink<K, V> {
+    /// Buffer every pair ([`MapOutputBuffer`]).
+    Flat(MapOutputBuffer<K, V>),
+    /// Group by key at emit time ([`GroupingOutputBuffer`]).
+    Grouped(GroupingOutputBuffer<K, V>),
+}
+
+impl<K, V> MapSink<K, V>
+where
+    K: Writable + Clone,
+    V: Writable + Clone,
+{
+    /// The collector the mapper emits into.
+    pub fn collector(&mut self) -> &mut dyn OutputCollector<K, V> {
+        match self {
+            MapSink::Flat(b) => b,
+            MapSink::Grouped(g) => g,
+        }
+    }
+
+    /// Pairs emitted so far.
+    pub fn emitted(&self) -> u64 {
+        match self {
+            MapSink::Flat(b) => b.emitted(),
+            MapSink::Grouped(g) => g.base.emitted(),
+        }
+    }
+
+    /// The collected output; a grouping task that fell back yields its
+    /// plain buckets.
+    pub fn finish(self) -> MapOutput<K, V> {
+        match self {
+            MapSink::Flat(b) => MapOutput::Flat(b.parts),
+            MapSink::Grouped(g) => match g.groups {
+                Some(groups) => MapOutput::Grouped(groups),
+                None => MapOutput::Flat(g.base.parts),
+            },
+        }
     }
 }
 
@@ -506,6 +753,54 @@ mod tests {
     }
 
     #[test]
+    fn grouping_buffer_charges_per_pair_but_copies_only_new_keys() {
+        let pairs: Vec<(Arc<IntWritable>, Arc<BytesWritable>)> = [5, 9, 5, 5, 1]
+            .iter()
+            .map(|&k| (Arc::new(IntWritable(k)), Arc::new(BytesWritable(vec![k as u8; 3]))))
+            .collect();
+        for immutable in [true, false] {
+            let cluster = simgrid::Cluster::new(1, simgrid::CostModel::default());
+            let metered = |sink: &mut MapSink<IntWritable, BytesWritable>| {
+                let before = cluster.metrics().snapshot();
+                simgrid::with_meter(simgrid::Meter::new(cluster.node(0).clone()), || {
+                    for (k, v) in &pairs {
+                        sink.collector().collect(Arc::clone(k), Arc::clone(v)).unwrap();
+                    }
+                });
+                cluster.metrics().snapshot().since(&before)
+            };
+            let mut flat = MapSink::Flat(MapOutputBuffer::new(2, modulo_partitioner(), immutable));
+            let mut grouped = MapSink::Grouped(GroupingOutputBuffer::new(MapOutputBuffer::new(
+                2,
+                modulo_partitioner(),
+                immutable,
+            )));
+            assert_eq!(metered(&mut flat), metered(&mut grouped), "same bill");
+            assert_eq!(grouped.emitted(), 5);
+            let MapOutput::Grouped(parts) = grouped.finish() else {
+                panic!("IntWritable has a raw form");
+            };
+            assert_eq!((parts[0].records(), parts[1].records()), (0, 5));
+            let groups: Vec<_> = parts
+                .into_iter()
+                .nth(1)
+                .unwrap()
+                .drain_sorted(&SortTuning::default(), None)
+                .collect();
+            let keys: Vec<i32> = groups.iter().map(|(k, _)| k.0).collect();
+            assert_eq!(keys, vec![1, 5, 9], "ascending key order");
+            let fives = &groups[1];
+            assert_eq!(fives.1.len(), 3);
+            // The group keeps the first emitted key: aliased under
+            // `ImmutableOutput`, a private copy otherwise.
+            assert_eq!(Arc::ptr_eq(&fives.0, &pairs[0].0), immutable);
+            for (v, src) in fives.1.iter().zip([0, 2, 3]) {
+                assert_eq!(Arc::ptr_eq(v, &pairs[src].1), immutable);
+            }
+        }
+    }
+
+    #[test]
     fn bad_partition_from_partitioner_is_rejected() {
         let mut buf: MapOutputBuffer<IntWritable, BytesWritable> = MapOutputBuffer::new(
             2,
@@ -594,6 +889,163 @@ mod prop_tests {
                 })
                 .collect();
             prop_assert!(sizes[0] <= sizes[1]);
+        }
+    }
+}
+
+#[cfg(test)]
+mod grouping_prop_tests {
+    use super::*;
+    use hmr_api::comparator::{ingest_reduce_groups, KeyComparator};
+    use hmr_api::conf::JobConf;
+    use hmr_api::counters::TaskContext;
+    use hmr_api::distcache::DistCache;
+    use hmr_api::partition::FnPartitioner;
+    use hmr_api::task::TaskMapper;
+    use hmr_api::writable::{to_bytes, ByteSink, IntWritable};
+    use proptest::prelude::*;
+
+    /// A key with a raw sort form only when non-negative: a negative key
+    /// arriving mid-task makes the grouping collector fall back to plain
+    /// buffering.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    struct PartlyRaw(i32);
+
+    impl Writable for PartlyRaw {
+        fn write_to<S: ByteSink + ?Sized>(&self, out: &mut S) {
+            out.put_slice(&self.0.to_le_bytes());
+        }
+        fn read_from(input: &mut ByteReader<'_>) -> Result<Self> {
+            Ok(PartlyRaw(i32::from_le_bytes(
+                input.read_bytes(4)?.try_into().unwrap(),
+            )))
+        }
+        fn write_raw_sort_key<S: ByteSink + ?Sized>(&self, out: &mut S) -> bool {
+            if self.0 < 0 {
+                return false;
+            }
+            out.put_slice(&(self.0 as u32).to_be_bytes());
+            true
+        }
+    }
+
+    /// Emits each input pair from `map`, then `tail` from `cleanup`.
+    struct Script {
+        tail: Vec<(i32, i32)>,
+    }
+
+    impl TaskMapper<PartlyRaw, IntWritable, PartlyRaw, IntWritable> for Script {
+        fn map(
+            &mut self,
+            key: Arc<PartlyRaw>,
+            value: Arc<IntWritable>,
+            out: &mut dyn OutputCollector<PartlyRaw, IntWritable>,
+            _ctx: &mut TaskContext,
+        ) -> Result<()> {
+            out.collect(key, value)
+        }
+        fn cleanup(
+            &mut self,
+            out: &mut dyn OutputCollector<PartlyRaw, IntWritable>,
+            _ctx: &mut TaskContext,
+        ) -> Result<()> {
+            for &(k, v) in &self.tail {
+                out.collect(Arc::new(PartlyRaw(k)), Arc::new(IntWritable(v)))?;
+            }
+            Ok(())
+        }
+    }
+
+    /// Per partition: `(key bytes, value bytes in order)` per group, and
+    /// the record count.
+    type Grouped = Vec<(Vec<(Vec<u8>, Vec<Vec<u8>>)>, usize)>;
+
+    fn run(
+        mut sink: MapSink<PartlyRaw, IntWritable>,
+        input: &[(i32, i32)],
+        tail: &[(i32, i32)],
+    ) -> (u64, Grouped) {
+        let mut ctx = TaskContext::new("t", Arc::new(JobConf::new()), Arc::new(DistCache::default()));
+        let mut mapper = Script { tail: tail.to_vec() };
+        let out = sink.collector();
+        for &(k, v) in input {
+            mapper
+                .map(Arc::new(PartlyRaw(k)), Arc::new(IntWritable(v)), out, &mut ctx)
+                .unwrap();
+        }
+        mapper.cleanup(out, &mut ctx).unwrap();
+        let emitted = sink.emitted();
+        let encode = |k: &PartlyRaw, vs: Vec<Vec<u8>>| (to_bytes(k), vs);
+        let tuning = SortTuning::default();
+        let nat = KeyComparator::<PartlyRaw>::natural();
+        let parts = match sink.finish() {
+            MapOutput::Flat(parts) => parts
+                .into_iter()
+                .map(|mut bucket| {
+                    let n = bucket.len();
+                    let spans = ingest_reduce_groups(&mut bucket, &nat, &nat, &tuning, None);
+                    let groups = spans
+                        .into_iter()
+                        .map(|span| {
+                            let vs = bucket[span.clone()].iter().map(|(_, v)| to_bytes(&**v));
+                            encode(&bucket[span.start].0, vs.collect())
+                        })
+                        .collect();
+                    (groups, n)
+                })
+                .collect(),
+            MapOutput::Grouped(parts) => parts
+                .into_iter()
+                .map(|g| {
+                    let n = g.records();
+                    let groups = g
+                        .drain_sorted(&tuning, None)
+                        .map(|(k, vs)| encode(&k, vs.iter().map(|v| to_bytes(&**v)).collect()))
+                        .collect();
+                    (groups, n)
+                })
+                .collect(),
+        };
+        (emitted, parts)
+    }
+
+    fn partitioner() -> Box<dyn Partitioner<PartlyRaw, IntWritable>> {
+        Box::new(FnPartitioner::new(|k: &PartlyRaw, _: &IntWritable, n| {
+            k.0.rem_euclid(n as i32) as usize
+        }))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Grouping at emit time and draining in raw-key order yields the
+        /// groups, value order and counts that buffering every pair and
+        /// running hash-grouped ingest yields — with or without the
+        /// defensive copy, for pairs emitted in `cleanup`, for 0- and
+        /// 1-record partitions, and when a key with no raw form (negative
+        /// here) forces the fallback mid-task.
+        #[test]
+        fn grouping_at_emit_matches_flat_ingest(
+            mut input in proptest::collection::vec((0i32..12, 0i32..1000), 0..80),
+            tail in proptest::collection::vec((-1i32..12, 0i32..1000), 0..6),
+            no_raw_at in 0usize..160,
+            partitions in 1usize..6,
+            immutable in any::<bool>(),
+        ) {
+            if let Some(pair) = input.get_mut(no_raw_at) {
+                pair.0 = -1;
+            }
+            let flat = MapSink::Flat(MapOutputBuffer::new(partitions, partitioner(), immutable));
+            let grouped = MapSink::Grouped(GroupingOutputBuffer::new(MapOutputBuffer::new(
+                partitions,
+                partitioner(),
+                immutable,
+            )));
+            let (flat_n, flat_groups) = run(flat, &input, &tail);
+            let (grouped_n, grouped_groups) = run(grouped, &input, &tail);
+            prop_assert_eq!(flat_n, (input.len() + tail.len()) as u64);
+            prop_assert_eq!(grouped_n, flat_n);
+            prop_assert_eq!(grouped_groups, flat_groups);
         }
     }
 }

@@ -355,6 +355,25 @@ impl<K: Writable, V: Writable> OutputCollector<K, V> for WriterCollector<'_, K, 
     }
 }
 
+/// Counts the pairs a map-only mapper collects: `MAP_OUTPUT_RECORDS` is
+/// the number of `collect` calls, as for jobs with reducers. Named side
+/// outputs bypass the map output and are not counted.
+struct CountingCollector<C> {
+    inner: C,
+    collected: u64,
+}
+
+impl<K, V, C: OutputCollector<K, V>> OutputCollector<K, V> for CountingCollector<C> {
+    fn collect(&mut self, key: Arc<K>, value: Arc<V>) -> Result<()> {
+        self.collected += 1;
+        self.inner.collect(key, value)
+    }
+
+    fn collect_named(&mut self, name: &str, key: Arc<K>, value: Arc<V>) -> Result<()> {
+        self.inner.collect_named(name, key, value)
+    }
+}
+
 /// Outcome of one map task.
 struct MapTaskOutput {
     /// Per-partition serialized segments (empty for map-only jobs), held
@@ -457,8 +476,8 @@ impl HadoopEngine {
             nnodes * self.opts.map_slots_per_node,
         )?;
         let num_reducers = conf.num_reduce_tasks();
-        // Sort/group tuning for this job: process defaults and env
-        // overrides, then conf knobs, gated by the engine option.
+        // Sort/group tuning for this job: defaults, then conf knobs,
+        // gated by the engine option.
         let tuning = {
             let mut t = SortTuning::for_job(&conf);
             t.hash_group &= self.opts.hash_group_ingest;
@@ -912,14 +931,17 @@ fn run_map_task<J: JobDef>(
         };
         let compute_start = Instant::now();
         {
-            let mut out = MapCollector::new(&mut sink, convert);
+            let mut out = CountingCollector {
+                inner: MapCollector::new(&mut sink, convert),
+                collected: 0,
+            };
             mapper.setup(&mut ctx)?;
             while let Some((k, v)) = reader.next()? {
                 ctx.incr_task_counter(task_counter::MAP_INPUT_RECORDS, 1);
-                ctx.incr_task_counter(task_counter::MAP_OUTPUT_RECORDS, 1);
                 mapper.map(Arc::new(k), Arc::new(v), &mut out, &mut ctx)?;
             }
             mapper.cleanup(&mut out, &mut ctx)?;
+            ctx.incr_task_counter(task_counter::MAP_OUTPUT_RECORDS, out.collected as i64);
         }
         simgrid::meter::charge(Charge::Compute {
             seconds: compute_start.elapsed().as_secs_f64(),

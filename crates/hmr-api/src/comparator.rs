@@ -23,7 +23,6 @@
 use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::Arc;
-use std::sync::OnceLock;
 
 use simgrid::arena::Arena;
 
@@ -137,8 +136,7 @@ pub fn build_raw_keys_into<'a, K: Writable + 'a>(
 /// long common prefix degrade to the full-raw fallback — both are why the
 /// default keeps small runs on the decoded path and why the threshold is
 /// a per-job tunable rather than a constant. Override per job with
-/// [`crate::conf::RAW_SORT_MIN_PAIRS`] or process-wide with the
-/// `M3R_RAW_SORT_MIN_PAIRS` environment variable (read once).
+/// [`crate::conf::RAW_SORT_MIN_PAIRS`].
 pub const RAW_SORT_MIN_PAIRS: usize = 1024;
 
 /// Default for [`SortTuning::radix_min_pairs`]: at or above this many
@@ -152,13 +150,11 @@ pub const RAW_SORT_MIN_PAIRS: usize = 1024;
 /// stays at 4k because below it the absolute win is tens of µs while the
 /// radix path's fixed costs — the histogram scan and its scatter's memory
 /// traffic — are the part that degrades most on cold caches. Override per
-/// job with [`crate::conf::RADIX_SORT_MIN_PAIRS`] or process-wide with
-/// `M3R_RADIX_SORT_MIN_PAIRS`.
+/// job with [`crate::conf::RADIX_SORT_MIN_PAIRS`].
 pub const RADIX_SORT_MIN_PAIRS: usize = 4096;
 
 /// Tunables for the reduce-ingest kernels. Defaults come from the measured
-/// crossovers above; the environment (once per process) and then the job's
-/// [`JobConf`] may override them — conf beats env beats default.
+/// crossovers above; the job's [`JobConf`] may override them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SortTuning {
     /// Minimum pairs before the raw-key (memcmp) sort path engages.
@@ -181,39 +177,11 @@ impl Default for SortTuning {
     }
 }
 
-fn env_usize(key: &str) -> Option<usize> {
-    std::env::var(key).ok()?.trim().parse().ok()
-}
-
 impl SortTuning {
-    /// The process-wide tuning: defaults overridden by the
-    /// `M3R_RAW_SORT_MIN_PAIRS`, `M3R_RADIX_SORT_MIN_PAIRS` and
-    /// `M3R_HASH_GROUP` environment variables, read once (bench runners
-    /// sweep thresholds without recompiling).
-    pub fn from_env() -> Self {
-        static ENV: OnceLock<SortTuning> = OnceLock::new();
-        *ENV.get_or_init(|| {
-            let mut t = SortTuning::default();
-            if let Some(v) = env_usize("M3R_RAW_SORT_MIN_PAIRS") {
-                t.raw_min_pairs = v;
-            }
-            if let Some(v) = env_usize("M3R_RADIX_SORT_MIN_PAIRS") {
-                t.radix_min_pairs = v;
-            }
-            if let Some(v) = std::env::var("M3R_HASH_GROUP")
-                .ok()
-                .and_then(|s| s.trim().parse().ok())
-            {
-                t.hash_group = v;
-            }
-            t
-        })
-    }
-
-    /// Per-job tuning: [`SortTuning::from_env`] with the job's conf knobs
+    /// Per-job tuning: the defaults with the job's conf knobs
     /// ([`crate::conf::RAW_SORT_MIN_PAIRS`] and friends) applied on top.
     pub fn for_job(conf: &JobConf) -> Self {
-        let mut t = Self::from_env();
+        let mut t = Self::default();
         if let Some(v) = conf.raw_sort_min_pairs() {
             t.raw_min_pairs = v;
         }
@@ -239,10 +207,10 @@ fn recycle_vec<T: Send + 'static>(arena: Option<&Arena>, v: Vec<T>) {
 
 /// Sort `pairs` by key under `cmp`, stably — matching Hadoop, where equal
 /// keys keep their shuffle arrival order within a partition. Uses the
-/// process-wide [`SortTuning::from_env`] and no scratch arena; engines call
+/// default [`SortTuning`] and no scratch arena; engines call
 /// [`sort_pairs_tuned`] with per-job tuning instead.
 pub fn sort_pairs_by<K: Writable, V>(pairs: &mut [(Arc<K>, Arc<V>)], cmp: &KeyComparator<K>) {
-    sort_pairs_tuned(pairs, cmp, &SortTuning::from_env(), None);
+    sort_pairs_tuned(pairs, cmp, &SortTuning::default(), None);
 }
 
 /// [`sort_pairs_by`] with explicit tuning and an optional scratch [`Arena`]
@@ -425,6 +393,48 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Order `n` pairwise-distinct raw keys ascending: returns `(prefix,
+/// index)` entries sorted by `raw(index)`. Entries are cached as the
+/// big-endian first-8-bytes prefix so the common case is a register
+/// compare; the full raw form breaks prefix ties only (zero-padding can
+/// only produce false equality, and distinct keys never tie on the full
+/// form, so no index tie-break is needed). At or above
+/// `tuning.radix_min_pairs` keys the prefixes take the LSD radix pass the
+/// raw sort path uses. The returned vector is leased from `arena`; hand it
+/// back with [`Arena::recycle`] when done.
+///
+/// This is how hash grouping — at reduce ingest ([`hash_group_pairs`]) and
+/// at map emit time (the M3R engine's combiner input) — turns G distinct
+/// keys into the drain order of a full sort without sorting N records.
+pub fn sort_distinct_raw_keys<'a>(
+    n: usize,
+    raw: impl Fn(u32) -> &'a [u8],
+    tuning: &SortTuning,
+    arena: Option<&Arena>,
+) -> Vec<(u64, u32)> {
+    let mut order: Vec<(u64, u32)> = lease_vec(arena);
+    order.extend((0..n as u32).map(|i| (raw_prefix(raw(i)), i)));
+    if n >= tuning.radix_min_pairs {
+        let mut scratch: Vec<(u64, u32)> = lease_vec(arena);
+        radix_sort_prefixes(&mut order, &mut scratch);
+        recycle_vec(arena, scratch);
+        let mut i = 0;
+        while i < order.len() {
+            let mut j = i + 1;
+            while j < order.len() && order[j].0 == order[i].0 {
+                j += 1;
+            }
+            if j - i > 1 {
+                order[i..j].sort_unstable_by(|a, b| raw(a.1).cmp(raw(b.1)));
+            }
+            i = j;
+        }
+    } else {
+        order.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| raw(a.1).cmp(raw(b.1))));
+    }
+    order
+}
+
 /// Hash-grouped reduce ingest for natural-order jobs: permute `pairs` so
 /// each distinct key's records are contiguous — groups in ascending
 /// natural key order, values in arrival order — and return the group
@@ -490,36 +500,8 @@ pub fn hash_group_pairs<K: Writable, V>(
     }
     let groups = firsts.len();
     // Drain in ascending raw order of each group's first (hence every)
-    // record — the order the sorted path would emit. Representatives are
-    // ordered as cached `(prefix, gid)` entries so the common case is a
-    // register compare; the full raw form breaks prefix ties only
-    // (zero-padding can only produce false equality, and identical raw
-    // keys are by construction the same group, so no further tie-break is
-    // needed). Above the radix threshold the reps take the same LSD radix
-    // pass the raw sort path uses — only G entries wide, which is the
-    // whole advantage of grouping by hash.
-    let mut group_order: Vec<(u64, u32)> = lease_vec(arena);
-    group_order.extend((0..groups as u32).map(|g| (raw_prefix(raw(firsts[g as usize])), g)));
-    let full = |g: u32| raw(firsts[g as usize]);
-    if groups >= tuning.radix_min_pairs {
-        let mut scratch: Vec<(u64, u32)> = lease_vec(arena);
-        radix_sort_prefixes(&mut group_order, &mut scratch);
-        recycle_vec(arena, scratch);
-        let mut i = 0;
-        while i < group_order.len() {
-            let mut j = i + 1;
-            while j < group_order.len() && group_order[j].0 == group_order[i].0 {
-                j += 1;
-            }
-            if j - i > 1 {
-                group_order[i..j].sort_unstable_by(|a, b| full(a.1).cmp(full(b.1)));
-            }
-            i = j;
-        }
-    } else {
-        group_order
-            .sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| full(a.1).cmp(full(b.1))));
-    }
+    // record — the order the sorted path would emit.
+    let group_order = sort_distinct_raw_keys(groups, |g| raw(firsts[g as usize]), tuning, arena);
     let mut offset: Vec<u32> = lease_vec(arena); // group -> next free slot
     offset.resize(groups, 0);
     let mut out_spans = Vec::with_capacity(groups);
@@ -836,9 +818,9 @@ mod tests {
         assert_eq!(t.raw_min_pairs, 7);
         assert_eq!(t.radix_min_pairs, 9);
         assert!(!t.hash_group);
-        // An empty conf inherits the process-wide defaults.
+        // An empty conf keeps the measured defaults.
         let d = SortTuning::for_job(&JobConf::new());
-        assert_eq!(d, SortTuning::from_env());
+        assert_eq!(d, SortTuning::default());
     }
 
     #[cfg(test)]

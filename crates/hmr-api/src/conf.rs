@@ -59,7 +59,8 @@ pub const RADIX_SORT_MIN_PAIRS: &str = "m3r.sort.radix.min.pairs";
 /// Hot-path tunable (ISSUE 8): whether natural-order reduces may ingest
 /// through the hash-grouping kernel instead of sort-then-span. Output is
 /// bit-identical either way (groups still drain in ascending key order);
-/// the knob exists so the sorted path can be forced for measurement.
+/// the knob exists so the sorted path can be forced for measurement. On
+/// M3R it also gates grouping a combiner's input at map emit time.
 pub const HASH_GROUP_INGEST: &str = "m3r.reduce.hash.group";
 /// M3R extension (ISSUE 10, ReStore-style cross-job memoization): when
 /// `true`, engines consult the `m3r-memo` reuse index before running this

@@ -7,15 +7,19 @@ use std::sync::Arc;
 use hmr_api::collect::OutputCollector;
 use hmr_api::comparator::KeyComparator;
 use hmr_api::conf::JobConf;
-use hmr_api::counters::TaskContext;
+use hmr_api::counters::{task_counter, TaskContext};
 use hmr_api::error::Result;
-use hmr_api::fs::{write_file, FileSystem, HPath};
+use hmr_api::fs::{read_file, write_file, FileSystem, HPath};
 use hmr_api::io::seqfile::{read_seq_file, write_seq_file};
-use hmr_api::io::{InputFormat, OutputFormat, SequenceFileInputFormat, SequenceFileOutputFormat};
+use hmr_api::io::{
+    InputFormat, OutputFormat, SequenceFileInputFormat, SequenceFileOutputFormat, TextInputFormat,
+};
 use hmr_api::job::{Engine, JobDef};
 use hmr_api::mapreduce;
-use hmr_api::task::{IdentityMapper, MapreduceReducerAdapter, TaskMapper, TaskReducer};
-use hmr_api::writable::{IntWritable, PairWritable, Text};
+use hmr_api::task::{
+    IdentityMapper, LongSumReducer, MapreduceReducerAdapter, TaskMapper, TaskReducer,
+};
+use hmr_api::writable::{IntWritable, LongWritable, PairWritable, Text};
 use simdfs::SimDfs;
 use simgrid::{Cluster, CostModel};
 
@@ -343,4 +347,120 @@ fn m3r_memoizes_distributed_cache_files_across_jobs() {
     // Job 1 read the dictionary and the input; job 2 read neither.
     assert!(r1.metrics.disk_bytes_read > 0);
     assert_eq!(r2.metrics.disk_bytes_read, 0, "dict memoized + input cached");
+}
+
+// ---------------------------------------------------------------------------
+// Map-only job with a combiner: Hadoop writes map output straight to the
+// job output (§5.3) and never combines it, and neither may M3R.
+// ---------------------------------------------------------------------------
+
+struct Tokenize;
+
+impl TaskMapper<LongWritable, Text, Text, LongWritable> for Tokenize {
+    fn map(
+        &mut self,
+        _key: Arc<LongWritable>,
+        value: Arc<Text>,
+        out: &mut dyn OutputCollector<Text, LongWritable>,
+        _ctx: &mut TaskContext,
+    ) -> Result<()> {
+        for tok in value.as_str().split_whitespace() {
+            out.collect(Arc::new(Text::from(tok)), Arc::new(LongWritable(1)))?;
+        }
+        Ok(())
+    }
+}
+
+struct MapOnlyTokenizeJob;
+
+impl JobDef for MapOnlyTokenizeJob {
+    type K1 = LongWritable;
+    type V1 = Text;
+    type K2 = Text;
+    type V2 = LongWritable;
+    type K3 = Text;
+    type V3 = LongWritable;
+    fn create_mapper(
+        &self,
+        _c: &JobConf,
+    ) -> Box<dyn TaskMapper<LongWritable, Text, Text, LongWritable>> {
+        Box::new(Tokenize)
+    }
+    fn create_reducer(
+        &self,
+        _c: &JobConf,
+    ) -> Box<dyn TaskReducer<Text, LongWritable, Text, LongWritable>> {
+        Box::new(LongSumReducer)
+    }
+    fn create_combiner(
+        &self,
+        _c: &JobConf,
+    ) -> Option<Box<dyn TaskReducer<Text, LongWritable, Text, LongWritable>>> {
+        Some(Box::new(LongSumReducer))
+    }
+    fn input_format(&self, _c: &JobConf) -> Box<dyn InputFormat<LongWritable, Text>> {
+        Box::new(TextInputFormat)
+    }
+    fn output_format(&self, _c: &JobConf) -> Box<dyn OutputFormat<Text, LongWritable>> {
+        Box::new(SequenceFileOutputFormat::new())
+    }
+    fn map_only_convert(
+        &self,
+    ) -> Option<hmr_api::job::MapOnlyConvert<Text, LongWritable, Text, LongWritable>> {
+        Some(Arc::new(|k, v| (k, v)))
+    }
+    fn immutable_output(&self) -> bool {
+        true
+    }
+    fn name(&self) -> &str {
+        "map-only-tokenize"
+    }
+}
+
+#[test]
+fn map_only_job_with_combiner_is_not_combined_on_either_engine() {
+    let (cluster, fs) = setup(2);
+    let files = ["b a b\na b b\n", "c c a\n", "a\nd d d d\n"];
+    for (i, text) in files.iter().enumerate() {
+        write_file(&fs, &HPath::new(format!("/in/f{i}")), text.as_bytes()).unwrap();
+    }
+    let tokens = files.iter().map(|t| t.split_whitespace().count()).sum::<usize>();
+
+    let mut hadoop = hadoop_engine::HadoopEngine::new(cluster.clone(), Arc::new(fs.clone()));
+    let h = hadoop
+        .run_job(Arc::new(MapOnlyTokenizeJob), &conf("/in", "/h", 0))
+        .unwrap();
+    let mut m3r = m3r::M3REngine::new(cluster, Arc::new(fs.clone()));
+    let m = m3r
+        .run_job(Arc::new(MapOnlyTokenizeJob), &conf("/in", "/m", 0))
+        .unwrap();
+
+    for r in [&h, &m] {
+        assert_eq!(r.output_records, tokens as u64, "one output record per token");
+        assert_eq!(r.counters.task(task_counter::MAP_OUTPUT_RECORDS), tokens as i64);
+        assert_eq!(r.counters.task(task_counter::COMBINE_INPUT_RECORDS), 0);
+    }
+    // Engine-private groups (Hadoop's shuffle bytes, M3R's cache hits)
+    // aside, the framework's task counters agree exactly.
+    let task_counters = |r: &hmr_api::job::JobResult| -> Vec<(String, i64)> {
+        r.counters
+            .iter()
+            .filter(|(g, _, _)| *g == hmr_api::counters::TASK_COUNTER_GROUP)
+            .map(|(_, n, v)| (n.to_string(), v))
+            .collect()
+    };
+    assert_eq!(task_counters(&h), task_counters(&m), "task counters on both engines");
+    for (i, text) in files.iter().enumerate() {
+        let name = format!("part-{i:05}");
+        let hb = read_file(&fs, &HPath::new(format!("/h/{name}"))).unwrap();
+        let mb = read_file(&fs, &HPath::new(format!("/m/{name}"))).unwrap();
+        assert_eq!(hb, mb, "{name}: byte-identical map-only output");
+        let recs = read_seq_file::<Text, LongWritable>(&fs, &HPath::new(format!("/m/{name}")))
+            .unwrap();
+        let expect: Vec<(Text, LongWritable)> = text
+            .split_whitespace()
+            .map(|t| (Text::from(t), LongWritable(1)))
+            .collect();
+        assert_eq!(recs, expect, "{name}: the mapper's pairs in emission order");
+    }
 }

@@ -10,7 +10,10 @@
 //! duplication (the shape hash grouping exists for), natural sort and
 //! grouping comparators (the precondition for the hash path), and enough
 //! records per reducer that conf-forced thresholds put each run squarely
-//! in the regime being toggled.
+//! in the regime being toggled. Its combiner makes hash grouping also move
+//! M3R's map side to grouping at emit time; the `reuse-*` rows run the
+//! mutate-and-reuse mapper, whose pairs M3R must clone, against their own
+//! all-off baseline.
 
 use std::sync::Arc;
 
@@ -32,6 +35,9 @@ const WORDS: usize = 12_000;
 #[derive(Clone, Copy, Debug)]
 struct Toggles {
     name: &'static str,
+    /// The WordCount mapper variant; each variant is compared against the
+    /// all-off run of the same variant.
+    style: WcStyle,
     /// Engine-level hash-grouped-ingest gate (`M3ROptions` /
     /// `EngineOptions::hash_group_ingest`).
     hash_opt: bool,
@@ -50,6 +56,7 @@ struct Toggles {
 /// Everything off: decoded stable sort + span scan, plain allocation.
 const BASELINE: Toggles = Toggles {
     name: "baseline",
+    style: WcStyle::FreshText,
     hash_opt: false,
     hash_conf: false,
     raw_min: usize::MAX,
@@ -66,6 +73,7 @@ const MATRIX: &[Toggles] = &[
     Toggles { name: "arena", arena: true, ..BASELINE },
     Toggles {
         name: "all",
+        style: WcStyle::FreshText,
         hash_opt: true,
         hash_conf: true,
         raw_min: 0,
@@ -74,7 +82,28 @@ const MATRIX: &[Toggles] = &[
     },
     Toggles { name: "hash-conf-only", hash_conf: true, ..BASELINE },
     Toggles { name: "hash-opt-only", hash_opt: true, ..BASELINE },
+    Toggles {
+        name: "reuse-hash",
+        style: WcStyle::ReuseText,
+        hash_opt: true,
+        hash_conf: true,
+        ..BASELINE
+    },
+    Toggles {
+        name: "reuse-all",
+        style: WcStyle::ReuseText,
+        hash_opt: true,
+        hash_conf: true,
+        raw_min: 0,
+        radix_min: 0,
+        arena: true,
+    },
 ];
+
+/// The all-off run `t` is compared against.
+fn baseline_for(t: &Toggles) -> Toggles {
+    Toggles { style: t.style, ..BASELINE }
+}
 
 fn conf_for(t: &Toggles, output: &str) -> JobConf {
     let mut c = JobConf::new();
@@ -87,9 +116,12 @@ fn conf_for(t: &Toggles, output: &str) -> JobConf {
     c
 }
 
-fn job() -> Arc<WordCountJob> {
-    Arc::new(WordCountJob::new(WcStyle::FreshText))
+fn job(t: &Toggles) -> Arc<WordCountJob> {
+    Arc::new(WordCountJob::new(t.style))
 }
+
+/// A job's result and its part files.
+type Run = (JobResult, Vec<(String, bytes::Bytes)>);
 
 /// Raw bytes of every part file under `dir`, in partition order — the
 /// strongest form of "identical outputs".
@@ -104,7 +136,7 @@ fn part_bytes(fs: &SimDfs, dir: &str) -> Vec<(String, bytes::Bytes)> {
         .collect()
 }
 
-fn run_m3r(t: &Toggles, parallel: bool) -> (JobResult, Vec<(String, bytes::Bytes)>) {
+fn run_m3r(t: &Toggles, parallel: bool) -> Run {
     let cluster = Cluster::new(PLACES, CostModel::default());
     let fs = SimDfs::with_config(cluster.clone(), 1 << 20, 2);
     generate_text(&fs, &HPath::new("/in/corpus.txt"), WORDS, 17).unwrap();
@@ -118,11 +150,11 @@ fn run_m3r(t: &Toggles, parallel: bool) -> (JobResult, Vec<(String, bytes::Bytes
             ..M3ROptions::default()
         },
     );
-    let r = engine.run_job(job(), &conf_for(t, "/out")).unwrap();
+    let r = engine.run_job(job(t), &conf_for(t, "/out")).unwrap();
     (r, part_bytes(&fs, "/out"))
 }
 
-fn run_hadoop(t: &Toggles, parallel: bool) -> (JobResult, Vec<(String, bytes::Bytes)>) {
+fn run_hadoop(t: &Toggles, parallel: bool) -> Run {
     let cluster = Cluster::new(PLACES, CostModel::default());
     let fs = SimDfs::with_config(cluster.clone(), 1 << 20, 2);
     generate_text(&fs, &HPath::new("/in/corpus.txt"), WORDS, 17).unwrap();
@@ -136,13 +168,13 @@ fn run_hadoop(t: &Toggles, parallel: bool) -> (JobResult, Vec<(String, bytes::By
             ..EngineOptions::default()
         },
     );
-    let r = engine.run_job(job(), &conf_for(t, "/out")).unwrap();
+    let r = engine.run_job(job(t), &conf_for(t, "/out")).unwrap();
     (r, part_bytes(&fs, "/out"))
 }
 
 fn assert_same(
-    reference: &(JobResult, Vec<(String, bytes::Bytes)>),
-    got: &(JobResult, Vec<(String, bytes::Bytes)>),
+    reference: &Run,
+    got: &Run,
     what: &str,
 ) {
     assert_eq!(
@@ -162,28 +194,34 @@ fn assert_same(
     assert_eq!(reference.1, got.1, "{what}: output part-file bytes");
 }
 
-#[test]
-fn m3r_hotpath_toggles_are_wallclock_only() {
-    let reference = run_m3r(&BASELINE, false);
+/// Run every matrix row serial and parallel on one engine, each against
+/// the serial all-off run of its mapper variant.
+fn assert_matrix_is_wallclock_only(
+    engine: &str,
+    run: impl Fn(&Toggles, bool) -> Run,
+) {
+    let mut references: Vec<(WcStyle, Run)> = Vec::new();
     for t in MATRIX {
+        if !references.iter().any(|(s, _)| *s == t.style) {
+            references.push((t.style, run(&baseline_for(t), false)));
+        }
+        let (_, reference) = references.iter().find(|(s, _)| *s == t.style).unwrap();
         for parallel in [false, true] {
-            let got = run_m3r(t, parallel);
+            let got = run(t, parallel);
             let mode = if parallel { "parallel" } else { "serial" };
-            assert_same(&reference, &got, &format!("m3r/{}/{mode}", t.name));
+            assert_same(reference, &got, &format!("{engine}/{}/{mode}", t.name));
         }
     }
 }
 
 #[test]
+fn m3r_hotpath_toggles_are_wallclock_only() {
+    assert_matrix_is_wallclock_only("m3r", run_m3r);
+}
+
+#[test]
 fn hadoop_hotpath_toggles_are_wallclock_only() {
-    let reference = run_hadoop(&BASELINE, false);
-    for t in MATRIX {
-        for parallel in [false, true] {
-            let got = run_hadoop(t, parallel);
-            let mode = if parallel { "parallel" } else { "serial" };
-            assert_same(&reference, &got, &format!("hadoop/{}/{mode}", t.name));
-        }
-    }
+    assert_matrix_is_wallclock_only("hadoop", run_hadoop);
 }
 
 #[test]
