@@ -385,7 +385,17 @@ pub fn group_spans<K, V>(
 /// Public because the `m3r-memo` fingerprint subsystem reuses the same
 /// kernel (content versions and job fingerprints hash through it).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a_extend(FNV1A_SEED, bytes)
+}
+
+/// The FNV-1a offset basis: the state [`fnv1a`] starts from.
+pub const FNV1A_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Streaming FNV-1a: continue hashing `bytes` from state `h`. Folding a
+/// file's pieces in order from [`FNV1A_SEED`] equals [`fnv1a`] of their
+/// concatenation, so content stored in blocks hashes without reassembly.
+#[inline]
+pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);

@@ -217,6 +217,33 @@ pub fn combine_dir_version(entries: &[(&HPath, u64)]) -> u64 {
     crate::comparator::fnv1a(&buf)
 }
 
+/// The entries of a path-keyed namespace at or beneath `root`, in key
+/// order: `root` itself, then its descendants. Shared by [`MemFs`] and
+/// `simdfs` for every subtree walk (list, recursive delete, rename,
+/// directory version).
+///
+/// A plain `range(root..)` scan cut off at the first path outside the
+/// subtree is wrong: a sibling such as `/in-x` or `/in.bak` sorts between
+/// `/in` and `/in/a`, because `-` and `.` sort below `/`. Descendants are
+/// exactly the keys in `[root + "/", root + "0")` (`0` is the byte after
+/// `/`), so the walk reads the root and then that range.
+pub fn subtree<'a, V>(
+    map: &'a BTreeMap<HPath, V>,
+    root: &HPath,
+) -> impl Iterator<Item = (&'a HPath, &'a V)> + 'a {
+    use std::ops::Bound;
+    // Every key starts with `/`, so for the root the range alone is the
+    // whole namespace, the root's own entry included.
+    let (head, base) = match root.is_root() {
+        true => (None, ""),
+        false => (map.get_key_value(root), root.as_str()),
+    };
+    let lo = HPath(format!("{base}/"));
+    let hi = HPath(format!("{base}0"));
+    head.into_iter()
+        .chain(map.range::<HPath, _>((Bound::Included(lo), Bound::Excluded(hi))))
+}
+
 // ---------------------------------------------------------------------------
 // MemFs: the process-local filesystem
 // ---------------------------------------------------------------------------
@@ -338,11 +365,7 @@ impl FileSystem for MemFs {
                 Ok(true)
             }
             Some(MemNode::Dir) => {
-                let children: Vec<HPath> = nodes
-                    .range(path.clone()..)
-                    .take_while(|(p, _)| p.starts_with(path))
-                    .map(|(p, _)| p.clone())
-                    .collect();
+                let children: Vec<HPath> = subtree(&nodes, path).map(|(p, _)| p.clone()).collect();
                 if children.len() > 1 && !recursive {
                     return Err(HmrError::Io(format!("{path} is a non-empty directory")));
                 }
@@ -362,9 +385,7 @@ impl FileSystem for MemFs {
         if nodes.contains_key(dst) {
             return Err(HmrError::AlreadyExists(dst.to_string()));
         }
-        let moved: Vec<(HPath, HPath)> = nodes
-            .range(src.clone()..)
-            .take_while(|(p, _)| p.starts_with(src))
+        let moved: Vec<(HPath, HPath)> = subtree(&nodes, src)
             .map(|(p, _)| {
                 let suffix = &p.as_str()[src.as_str().len()..];
                 (p.clone(), HPath::new(format!("{}{}", dst.as_str(), suffix)))
@@ -422,12 +443,9 @@ impl FileSystem for MemFs {
         }
         let nodes = self.inner.nodes.read();
         let mut out = Vec::new();
-        for (p, _) in nodes
-            .range(path.clone()..)
-            .take_while(|(p, _)| p.starts_with(path))
-        {
-            if p != path && p.parent().as_ref() == Some(path) {
-                out.push(match nodes.get(p).unwrap() {
+        for (p, node) in subtree(&nodes, path) {
+            if p.parent().as_ref() == Some(path) {
+                out.push(match node {
                     MemNode::File(d) => FileStatus {
                         path: p.clone(),
                         is_dir: false,
@@ -451,9 +469,7 @@ impl FileSystem for MemFs {
         match nodes.get(path)? {
             MemNode::File(d) => Some(crate::comparator::fnv1a(d)),
             MemNode::Dir => {
-                let entries: Vec<(&HPath, u64)> = nodes
-                    .range(path.clone()..)
-                    .take_while(|(p, _)| p.starts_with(path))
+                let entries: Vec<(&HPath, u64)> = subtree(&nodes, path)
                     .filter_map(|(p, n)| match n {
                         MemNode::File(d) => Some((p, crate::comparator::fnv1a(d))),
                         MemNode::Dir => None,
@@ -624,6 +640,40 @@ mod tests {
             .map(|s| s.path.to_string())
             .collect();
         assert_eq!(names, vec!["/d/a".to_string(), "/d/sub".to_string()]);
+    }
+
+    #[test]
+    fn subtree_walks_skip_siblings_that_sort_inside() {
+        // `-` and `.` sort below `/`, so `/in-x` and `/in.bak` fall between
+        // `/in` and `/in/a` in key order.
+        let fs = MemFs::new();
+        write_file(&fs, &HPath::new("/in/a"), b"a").unwrap();
+        write_file(&fs, &HPath::new("/in/sub/b"), b"b").unwrap();
+        write_file(&fs, &HPath::new("/in-x/b"), b"x").unwrap();
+        write_file(&fs, &HPath::new("/in.bak"), b"y").unwrap();
+        let dir = HPath::new("/in");
+        let names: Vec<String> =
+            fs.list_status(&dir).unwrap().iter().map(|s| s.path.to_string()).collect();
+        assert_eq!(names, vec!["/in/a".to_string(), "/in/sub".to_string()]);
+        let expect = combine_dir_version(&[
+            (&HPath::new("/in/a"), crate::comparator::fnv1a(b"a")),
+            (&HPath::new("/in/sub/b"), crate::comparator::fnv1a(b"b")),
+        ]);
+        assert_eq!(fs.content_version(&dir), Some(expect));
+        let root_names = subtree(&fs.inner.nodes.read(), &HPath::root()).count();
+        assert_eq!(root_names, 8, "root, /in, /in/a, /in/sub, /in/sub/b, /in-x, /in-x/b, /in.bak");
+
+        fs.rename(&dir, &HPath::new("/out")).unwrap();
+        assert_eq!(read_file(&fs, &HPath::new("/out/a")).unwrap(), b"a");
+        assert_eq!(read_file(&fs, &HPath::new("/out/sub/b")).unwrap(), b"b");
+        assert!(!fs.exists(&HPath::new("/in/a")), "whole subtree moved");
+        assert_eq!(read_file(&fs, &HPath::new("/in-x/b")).unwrap(), b"x");
+
+        assert!(fs.delete(&HPath::new("/out"), true).unwrap());
+        assert!(!fs.exists(&HPath::new("/out/a")), "recursive delete reached /out/a");
+        assert!(!fs.exists(&HPath::new("/out/sub/b")));
+        assert!(fs.exists(&HPath::new("/in-x/b")), "sibling untouched");
+        assert!(fs.exists(&HPath::new("/in.bak")), "sibling untouched");
     }
 
     #[test]

@@ -22,13 +22,14 @@ pub mod placement;
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 use parking_lot::RwLock;
 
 use hmr_api::error::{HmrError, Result};
-use hmr_api::fs::{FileStatus, FileSystem, FsReader, FsWriter, HPath};
+use hmr_api::comparator::{fnv1a_extend, FNV1A_SEED};
+use hmr_api::fs::{subtree, FileStatus, FileSystem, FsReader, FsWriter, HPath};
 use simgrid::cost::Charge;
 use simgrid::meter;
 use simgrid::trace;
@@ -51,14 +52,18 @@ enum DfsNode {
     File {
         blocks: Vec<BlockInfo>,
         len: u64,
-        /// fnv1a over the file's full contents, stamped once at writer
-        /// close. This is the file's *content version* (`m3r-memo`):
-        /// rewriting identical bytes under a fresh path-and-recreate still
-        /// yields the same version, while any byte change yields a new one.
-        /// Rename moves the node (and version) wholesale; delete removes it
-        /// — so a memo entry's recorded versions go stale exactly when the
-        /// input's content can no longer be proven unchanged.
-        version: u64,
+        /// fnv1a over the file's full contents: the file's *content
+        /// version* (`m3r-memo`). Files are immutable once closed, so it is
+        /// computed lazily, on the first `content_version` request, and
+        /// cached here; closing a file hashes nothing, and a filesystem
+        /// that never memoizes never pays for it. Rewriting identical bytes
+        /// under a fresh path-and-recreate still yields the same version,
+        /// while any byte change yields a new one. Rename moves the node
+        /// (and its cell) wholesale; delete removes it — so a memo entry's
+        /// recorded versions go stale exactly when the input's content can
+        /// no longer be proven unchanged. Shared (`Arc`) so the hash can be
+        /// filled in after the namenode lock is released.
+        version: Arc<OnceLock<u64>>,
     },
     Dir,
 }
@@ -171,8 +176,9 @@ impl FsWriter for DfsWriter {
 
     fn close(self: Box<Self>) -> Result<u64> {
         let inner = &*self.dfs.inner;
-        let total = self.buf.len() as u64;
-        let version = hmr_api::comparator::fnv1a(&self.buf);
+        // Freeze the buffer once; each block is a zero-copy slice of it.
+        let data = Bytes::from(self.buf);
+        let total = data.len() as u64;
         // Prefer the writer's own node for the first replica (HDFS
         // write-local affinity); fall back to a path-hash.
         let local = meter::current_meter().map(|m| m.node().id()).unwrap_or_else(|| {
@@ -183,17 +189,6 @@ impl FsWriter for DfsWriter {
             self.target.as_str().hash(&mut h);
             (h.finish() % inner.cluster.len() as u64) as usize
         });
-
-        let mut blocks = Vec::new();
-        let mut data = self.buf;
-        let mut chunks: Vec<Vec<u8>> = Vec::new();
-        if !data.is_empty() {
-            while data.len() as u64 > inner.block_size {
-                let rest = data.split_off(inner.block_size as usize);
-                chunks.push(std::mem::replace(&mut data, rest));
-            }
-            chunks.push(data);
-        }
         // Placement is seeded by (path, chunk index), not the block id: the
         // global id counter's values depend on the order concurrent writers
         // reach it, and replica layout (hence later read locality) must not.
@@ -203,55 +198,71 @@ impl FsWriter for DfsWriter {
             self.target.as_str().hash(&mut h);
             h.finish()
         };
-        trace::span(trace::Phase::Io, "dfs_write", None, || {
-            for (chunk_idx, chunk) in chunks.into_iter().enumerate() {
+        let ancestors = self.target.parent().map(|p| p.ancestors_inclusive()).unwrap_or_default();
+
+        // Check, then publish, under one namenode lock: a writer that loses
+        // a race for the path fails before any of its blocks are stored.
+        let mut meta = inner.meta.write();
+        let conflict = if meta.contains_key(&self.target) {
+            Some(HmrError::AlreadyExists(self.target.to_string()))
+        } else {
+            ancestors
+                .iter()
+                .find(|anc| matches!(meta.get(anc), Some(DfsNode::File { .. })))
+                .map(|anc| HmrError::Io(format!("{anc} is a file")))
+        };
+        if let Some(e) = conflict {
+            drop(meta);
+            self.dfs.charge_namenode();
+            return Err(e);
+        }
+        let block_size = inner.block_size as usize;
+        let mut blocks = Vec::with_capacity(data.len().div_ceil(block_size));
+        {
+            let mut store = inner.blocks.write();
+            for (chunk_idx, start) in (0..data.len()).step_by(block_size).enumerate() {
+                let chunk = data.slice(start..(start + block_size).min(data.len()));
                 let id = inner.next_block.fetch_add(1, Ordering::Relaxed);
                 let replicas = inner.policy.place(
                     local,
                     path_seed.wrapping_add(chunk_idx as u64),
                     inner.replication,
                 );
-                let len = chunk.len() as u64;
-                // Local disk write for the first replica; the replication
-                // pipeline moves the block over the network once per extra
-                // replica and writes it to that node's disk. All latencies are
-                // charged to the writing task (it blocks on the ack chain).
-                meter::charge(Charge::DiskWrite { bytes: len });
-                for _ in 1..replicas.len() {
-                    meter::charge(Charge::NetTransfer { bytes: len });
-                    meter::charge(Charge::DiskWrite { bytes: len });
-                }
-                inner.blocks.write().insert(id, Bytes::from(chunk));
-                blocks.push(BlockInfo { id, len, replicas });
+                blocks.push(BlockInfo {
+                    id,
+                    len: chunk.len() as u64,
+                    replicas,
+                });
+                store.insert(id, chunk);
             }
-        });
-
-        self.dfs.charge_namenode();
-        let mut meta = inner.meta.write();
-        if meta.contains_key(&self.target) {
-            return Err(HmrError::AlreadyExists(self.target.to_string()));
         }
-        if let Some(parent) = self.target.parent() {
-            for anc in parent.ancestors_inclusive() {
-                match meta.get(&anc) {
-                    Some(DfsNode::File { .. }) => {
-                        return Err(HmrError::Io(format!("{anc} is a file")));
-                    }
-                    Some(DfsNode::Dir) => {}
-                    None => {
-                        meta.insert(anc, DfsNode::Dir);
-                    }
-                }
-            }
+        for anc in ancestors {
+            meta.entry(anc).or_insert(DfsNode::Dir);
         }
         meta.insert(
             self.target,
             DfsNode::File {
-                blocks,
+                blocks: blocks.clone(),
                 len: total,
-                version,
+                version: Arc::default(),
             },
         );
+        drop(meta);
+
+        trace::span(trace::Phase::Io, "dfs_write", None, || {
+            for b in &blocks {
+                // Local disk write for the first replica; the replication
+                // pipeline moves the block over the network once per extra
+                // replica and writes it to that node's disk. All latencies are
+                // charged to the writing task (it blocks on the ack chain).
+                meter::charge(Charge::DiskWrite { bytes: b.len });
+                for _ in 1..b.replicas.len() {
+                    meter::charge(Charge::NetTransfer { bytes: b.len });
+                    meter::charge(Charge::DiskWrite { bytes: b.len });
+                }
+            }
+        });
+        self.dfs.charge_namenode();
         Ok(total)
     }
 }
@@ -369,16 +380,12 @@ impl FileSystem for SimDfs {
                 Ok(true)
             }
             Some(DfsNode::Dir) => {
-                let subtree: Vec<HPath> = meta
-                    .range(path.clone()..)
-                    .take_while(|(p, _)| p.starts_with(path))
-                    .map(|(p, _)| p.clone())
-                    .collect();
-                if subtree.len() > 1 && !recursive {
+                let doomed: Vec<HPath> = subtree(&meta, path).map(|(p, _)| p.clone()).collect();
+                if doomed.len() > 1 && !recursive {
                     return Err(HmrError::Io(format!("{path} is a non-empty directory")));
                 }
                 let mut store = self.inner.blocks.write();
-                for p in subtree {
+                for p in doomed {
                     if let Some(DfsNode::File { blocks, .. }) = meta.remove(&p) {
                         for b in blocks {
                             store.remove(&b.id);
@@ -399,9 +406,7 @@ impl FileSystem for SimDfs {
         if meta.contains_key(dst) {
             return Err(HmrError::AlreadyExists(dst.to_string()));
         }
-        let moved: Vec<(HPath, HPath)> = meta
-            .range(src.clone()..)
-            .take_while(|(p, _)| p.starts_with(src))
+        let moved: Vec<(HPath, HPath)> = subtree(&meta, src)
             .map(|(p, _)| {
                 let suffix = &p.as_str()[src.as_str().len()..];
                 (p.clone(), HPath::new(format!("{}{}", dst.as_str(), suffix)))
@@ -463,11 +468,8 @@ impl FileSystem for SimDfs {
         }
         let meta = self.inner.meta.read();
         let mut out = Vec::new();
-        for (p, node) in meta
-            .range(path.clone()..)
-            .take_while(|(p, _)| p.starts_with(path))
-        {
-            if p != path && p.parent().as_ref() == Some(path) {
+        for (p, node) in subtree(&meta, path) {
+            if p.parent().as_ref() == Some(path) {
                 out.push(match node {
                     DfsNode::File { len, .. } => FileStatus {
                         path: p.clone(),
@@ -497,23 +499,42 @@ impl FileSystem for SimDfs {
     }
 
     fn content_version(&self, path: &HPath) -> Option<u64> {
-        // Pure namenode metadata: the hash was stamped at write time, so a
-        // version read costs the same round trip as any stat.
+        // Charged as one namenode round trip, like any stat. A file's first
+        // version read also hashes its bytes (wall time only: a real HDFS
+        // keeps block checksums beside the data).
         self.charge_namenode();
-        let meta = self.inner.meta.read();
-        match meta.get(path)? {
-            DfsNode::File { version, .. } => Some(*version),
-            DfsNode::Dir => {
-                let entries: Vec<(&HPath, u64)> = meta
-                    .range(path.clone()..)
-                    .take_while(|(p, _)| p.starts_with(path))
-                    .filter_map(|(p, n)| match n {
-                        DfsNode::File { version, .. } => Some((p, *version)),
-                        DfsNode::Dir => None,
-                    })
-                    .collect();
-                Some(hmr_api::fs::combine_dir_version(&entries))
+        // Snapshot under the locks — each file's version cell, plus its
+        // block handles while the cell is empty — then hash unlocked.
+        let (is_dir, files) = {
+            let meta = self.inner.meta.read();
+            let store = self.inner.blocks.read();
+            let is_dir = matches!(meta.get(path)?, DfsNode::Dir);
+            let mut files = Vec::new();
+            for (p, node) in subtree(&meta, path) {
+                if let DfsNode::File { blocks, version, .. } = node {
+                    let parts: Vec<Bytes> = match version.get() {
+                        Some(_) => Vec::new(),
+                        None => {
+                            let parts = blocks.iter().map(|b| store.get(&b.id).cloned());
+                            parts.collect::<Option<_>>()?
+                        }
+                    };
+                    files.push((p.clone(), Arc::clone(version), parts));
+                }
             }
+            (is_dir, files)
+        };
+        let versions: Vec<(&HPath, u64)> = files
+            .iter()
+            .map(|(p, cell, parts)| {
+                let hash = || parts.iter().fold(FNV1A_SEED, |h, b| fnv1a_extend(h, b));
+                (p, *cell.get_or_init(hash))
+            })
+            .collect();
+        if is_dir {
+            Some(hmr_api::fs::combine_dir_version(&versions))
+        } else {
+            versions.first().map(|&(_, v)| v)
         }
     }
 }
@@ -657,6 +678,115 @@ mod tests {
         write_file(&fs, &HPath::new("/in/g"), b"more").unwrap();
         assert_ne!(fs.content_version(&HPath::new("/in")), Some(dv));
         assert_eq!(fs.content_version(&HPath::new("/absent")), None);
+    }
+
+    fn version_cell(fs: &SimDfs, path: &str) -> Option<u64> {
+        match fs.inner.meta.read().get(&HPath::new(path)) {
+            Some(DfsNode::File { version, .. }) => version.get().copied(),
+            _ => panic!("{path} is not a file"),
+        }
+    }
+
+    #[test]
+    fn multi_block_version_is_fnv1a_of_the_bytes() {
+        let fs = dfs(3);
+        let data: Vec<u8> = (0..5000u32).map(|i| (i * 31 % 251) as u8).collect();
+        write_file(&fs, &HPath::new("/in/big"), &data).unwrap();
+        assert_eq!(fs.block_locations(&HPath::new("/in/big"), 0, 5000).unwrap().len(), 5);
+        assert_eq!(version_cell(&fs, "/in/big"), None, "close hashes nothing");
+        let v = fs.content_version(&HPath::new("/in/big")).unwrap();
+        assert_eq!(version_cell(&fs, "/in/big"), Some(v), "cached on first read");
+        assert_eq!(v, hmr_api::comparator::fnv1a(&data));
+        let mem = hmr_api::fs::MemFs::new();
+        write_file(&mem, &HPath::new("/in/big"), &data).unwrap();
+        assert_eq!(mem.content_version(&HPath::new("/in/big")), Some(v));
+        assert_eq!(fs.content_version(&HPath::new("/in")), mem.content_version(&HPath::new("/in")));
+
+        // Rename keeps the version (the node moves with its cell); a
+        // rewrite with different bytes changes it.
+        fs.rename(&HPath::new("/in/big"), &HPath::new("/in/moved")).unwrap();
+        assert_eq!(fs.content_version(&HPath::new("/in/moved")), Some(v));
+        fs.delete(&HPath::new("/in/moved"), false).unwrap();
+        let mut changed = data.clone();
+        changed[4321] ^= 1;
+        write_file(&fs, &HPath::new("/in/moved"), &changed).unwrap();
+        let v2 = fs.content_version(&HPath::new("/in/moved")).unwrap();
+        assert_ne!(v2, v);
+        assert_eq!(v2, hmr_api::comparator::fnv1a(&changed));
+        // Empty files version like the empty byte string.
+        write_file(&fs, &HPath::new("/in/empty"), b"").unwrap();
+        assert_eq!(
+            fs.content_version(&HPath::new("/in/empty")),
+            Some(hmr_api::comparator::fnv1a(b""))
+        );
+    }
+
+    #[test]
+    fn subtree_walks_skip_siblings_that_sort_inside() {
+        // `-` and `.` sort below `/`, so `/in-x` and `/in.bak` fall between
+        // `/in` and `/in/a` in key order.
+        let fs = dfs(2);
+        write_file(&fs, &HPath::new("/in/a"), &vec![1u8; 1500]).unwrap();
+        write_file(&fs, &HPath::new("/in/sub/b"), b"b").unwrap();
+        write_file(&fs, &HPath::new("/in-x/b"), b"x").unwrap();
+        write_file(&fs, &HPath::new("/in.bak"), b"y").unwrap();
+        let dir = HPath::new("/in");
+        let names: Vec<String> =
+            fs.list_status(&dir).unwrap().iter().map(|s| s.path.to_string()).collect();
+        assert_eq!(names, vec!["/in/a".to_string(), "/in/sub".to_string()]);
+        let expect = hmr_api::fs::combine_dir_version(&[
+            (&HPath::new("/in/a"), hmr_api::comparator::fnv1a(&[1u8; 1500])),
+            (&HPath::new("/in/sub/b"), hmr_api::comparator::fnv1a(b"b")),
+        ]);
+        assert_eq!(fs.content_version(&dir), Some(expect));
+        assert_eq!(version_cell(&fs, "/in-x/b"), None, "sibling not hashed");
+
+        fs.rename(&dir, &HPath::new("/out")).unwrap();
+        assert_eq!(read_file(&fs, &HPath::new("/out/a")).unwrap(), vec![1u8; 1500]);
+        assert_eq!(read_file(&fs, &HPath::new("/out/sub/b")).unwrap(), b"b");
+        assert!(!fs.exists(&HPath::new("/in/a")), "whole subtree moved");
+        assert_eq!(
+            fs.content_version(&HPath::new("/out/a")),
+            Some(hmr_api::comparator::fnv1a(&[1u8; 1500]))
+        );
+
+        assert!(fs.delete(&HPath::new("/out"), true).unwrap());
+        assert!(!fs.exists(&HPath::new("/out/a")), "recursive delete reached /out/a");
+        assert!(!fs.exists(&HPath::new("/out/sub/b")));
+        assert_eq!(fs.inner.blocks.read().len(), 2, "only the siblings' blocks remain");
+        assert_eq!(read_file(&fs, &HPath::new("/in-x/b")).unwrap(), b"x");
+        assert_eq!(read_file(&fs, &HPath::new("/in.bak")).unwrap(), b"y");
+    }
+
+    #[test]
+    fn losing_writer_leaves_no_blocks() {
+        let fs = dfs(2);
+        let p = HPath::new("/race");
+        let mut first = fs.create(&p).unwrap();
+        let mut second = fs.create(&p).unwrap();
+        first.write_all(&vec![1u8; 3000]).unwrap();
+        second.write_all(&vec![2u8; 2000]).unwrap();
+        assert_eq!(first.close().unwrap(), 3000);
+        assert!(matches!(second.close(), Err(HmrError::AlreadyExists(_))));
+        let winner: Vec<u64> = match fs.inner.meta.read().get(&p) {
+            Some(DfsNode::File { blocks, .. }) => blocks.iter().map(|b| b.id).collect(),
+            _ => panic!("winner's file missing"),
+        };
+        let mut stored: Vec<u64> = fs.inner.blocks.read().keys().copied().collect();
+        stored.sort_unstable();
+        assert_eq!(stored, winner, "store holds exactly the winner's 3 blocks");
+        assert_eq!(read_file(&fs, &p).unwrap(), vec![1u8; 3000]);
+    }
+
+    #[test]
+    fn writer_under_a_file_fails_cleanly() {
+        let fs = dfs(2);
+        write_file(&fs, &HPath::new("/f"), b"x").unwrap();
+        let mut w = fs.create(&HPath::new("/f/g/h")).unwrap();
+        w.write_all(b"data").unwrap();
+        assert!(w.close().is_err());
+        assert!(!fs.exists(&HPath::new("/f/g")), "no ancestor created on failure");
+        assert_eq!(fs.inner.blocks.read().len(), 1);
     }
 
     #[test]
